@@ -24,12 +24,23 @@ its labels are a topological order (Theorem 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Iterable, Mapping, Optional, Tuple, TypeVar
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from .labels import DenseLabelSet
 from .ordering import Ordering
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "OrderViolation",
@@ -191,6 +202,8 @@ def successor_graph_is_loop_free(graph: nx.DiGraph) -> bool:
     if every node maintains order the successor graph is a DAG, so a cycle
     here indicates a protocol bug.
     """
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(graph)
 
 
@@ -202,6 +215,8 @@ def build_successor_graph(
     Every key becomes a vertex even if it currently has no successors, so the
     auditor also sees nodes with invalid routes.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node, nexthops in successors.items():
         graph.add_node(node)
@@ -238,6 +253,8 @@ class SuccessorGraphAuditor(Generic[L]):
         self._audit()
 
     def _audit(self) -> None:
+        import networkx as nx
+
         graph = build_successor_graph(self._successors)
         if not successor_graph_is_loop_free(graph):
             cycle = nx.find_cycle(graph)

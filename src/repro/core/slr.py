@@ -20,9 +20,17 @@ advertised label when necessary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Generic,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .invariants import (
     build_successor_graph,
@@ -31,6 +39,9 @@ from .invariants import (
     successor_graph_is_loop_free,
 )
 from .labels import DenseLabelSet, LabelSplitError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "SlrNodeState",

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats
-
 __all__ = [
     "ConfidenceInterval",
     "intervals_disjoint",
@@ -67,6 +65,10 @@ def mean_confidence_interval(
     mean = sum(values) / n
     if n == 1:
         return ConfidenceInterval(mean, 0.0, confidence, n)
+    # scipy.stats costs about a second to import, and most processes never
+    # build an interval, so it loads here on first use.
+    from scipy import stats
+
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std_error = math.sqrt(variance / n)
     t_critical = float(stats.t.ppf((1.0 + confidence) / 2.0, n - 1))

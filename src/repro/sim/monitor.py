@@ -15,9 +15,10 @@ that AODV-style baselines *can* transiently violate what SRP guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Set
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LoopFreedomMonitor", "LoopViolation"]
 
@@ -57,12 +58,10 @@ class LoopFreedomMonitor:
         self._check(time, destination)
 
     def _check(self, time: float, destination: NodeId) -> None:
+        import networkx as nx
+
         self.checks += 1
-        graph = nx.DiGraph()
-        for node, successors in self._successors[destination].items():
-            graph.add_node(node)
-            for successor in successors:
-                graph.add_edge(node, successor)
+        graph = self.successor_graph(destination)
         if not nx.is_directed_acyclic_graph(graph):
             cycle = tuple(edge for edge in nx.find_cycle(graph))
             self.violations.append(LoopViolation(time, destination, cycle))
@@ -74,6 +73,8 @@ class LoopFreedomMonitor:
 
     def successor_graph(self, destination: NodeId) -> nx.DiGraph:
         """The most recent successor graph recorded for ``destination``."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node, successors in self._successors.get(destination, {}).items():
             graph.add_node(node)

@@ -1,4 +1,4 @@
-"""Import hygiene of the runtime seam.
+"""Import hygiene: the runtime seam and the cold-import footprint.
 
 ``repro.protocols`` and ``repro.runtime`` are the runtime-agnostic side of
 the seam: the same code runs under the discrete-event simulator and as live
@@ -16,12 +16,36 @@ import of it from the runtime-agnostic side is a seam leak, caught here by
 walking the AST of every module rather than by convention.  This is the
 enforcement half of the rule that node/protocol statistics paths read time
 only through the runtime ``clock`` accessor.
+
+The cold-import tests pin the second rule: importing the package (and the
+CLI, simulator, protocols and live runtime) needs only the standard library.
+scipy (the Student-t quantile behind confidence intervals) and networkx (the
+loop-freedom checks) load on first use, so a process that never builds an
+interval or a graph never pays their import cost.  These tests run in the
+bare ``lint`` CI job, where none of the heavy packages is installed.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Third-party packages that must not load on ``import repro``.
+HEAVY_MODULES = ("scipy", "networkx", "numpy")
+
+#: Entry points every CLI call, sweep worker and live router imports.
+COLD_IMPORTS = (
+    "repro",
+    "repro.experiments.__main__",
+    "repro.sim.network",
+    "repro.protocols",
+    "repro.runtime.live",
+)
 
 #: Packages whose modules must stay runnable under any Runtime.
 RUNTIME_AGNOSTIC_PACKAGES = ("protocols", "runtime")
@@ -101,3 +125,47 @@ def test_sim_node_reads_time_through_the_clock_accessor():
     source = (SRC / "sim" / "node.py").read_text(encoding="utf-8")
     assert "self.simulator.now" not in source
     assert "self.clock.now" in source
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that sees this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cold_import_loads_no_heavy_third_party_module():
+    code = "\n".join(
+        [f"import {module}" for module in COLD_IMPORTS]
+        + [
+            "import sys",
+            f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))",
+        ]
+    )
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_confidence_interval_loads_scipy_on_first_use():
+    pytest.importorskip("scipy")
+    code = """
+import sys
+from repro.metrics.confidence import mean_confidence_interval
+assert mean_confidence_interval([4.0]).half_width == 0.0
+before = "scipy" in sys.modules
+half_width = mean_confidence_interval([1.0, 2.0, 3.0]).half_width
+print(before, "scipy.stats" in sys.modules, repr(half_width))
+"""
+    before, after, half_width = _run_fresh(code).split()
+    assert (before, after) == ("False", "True")
+    # The exact value before the import was deferred: not one ulp may move.
+    assert float(half_width) == 2.48413771175033
